@@ -4,8 +4,11 @@
 // Usage:
 //
 //	mlectrace gen -disks 120 -years 5 -afr 0.02 > pool.trace
-//	mlectrace stats < pool.trace
+//	mlectrace stats pool.trace
 //	mlectrace replay -disks 120 -kl 17 -pl 3 -dp < pool.trace
+//
+// stats, replay, events and spans read the file named by their one
+// optional argument, or stdin without one.
 //
 // Every subcommand accepts -timeout and handles Ctrl-C: the first
 // interrupt stops the replay at the next event boundary and reports the
@@ -13,6 +16,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -52,8 +56,29 @@ func main() {
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "mlectrace: %v\n", err)
+		if errors.Is(err, errUsage) {
+			usage()
+			os.Exit(2)
+		}
 		os.Exit(1)
 	}
+}
+
+// errUsage marks command-line misuse: main prints the usage text and
+// exits 2 rather than 1.
+var errUsage = errors.New("usage")
+
+// openInput returns a subcommand's input: the file named by its one
+// optional positional argument, or stdin without one. Further arguments
+// are rejected rather than silently ignored.
+func openInput(fs *flag.FlagSet) (io.ReadCloser, error) {
+	switch fs.NArg() {
+	case 0:
+		return io.NopCloser(os.Stdin), nil
+	case 1:
+		return os.Open(fs.Arg(0))
+	}
+	return nil, fmt.Errorf("%w: %s takes at most one input file, got %q", errUsage, fs.Name(), fs.Args())
 }
 
 func usage() {
@@ -61,10 +86,12 @@ func usage() {
 
 usage:
   mlectrace gen -disks N -years Y [-afr F] [-weibull-shape K] [-seed S]   write a trace to stdout
-  mlectrace stats                                                          summarize a trace from stdin
-  mlectrace replay -disks N [-kl K -pl P] [-dp] [-seed S]                  replay a trace through a pool simulation
-  mlectrace events [-kind K]                                               summarize a -trace-out JSONL event trace from stdin
-  mlectrace spans                                                          render a -span-out JSONL wall-clock span file from stdin`)
+  mlectrace stats [FILE]                                                   summarize a trace
+  mlectrace replay -disks N [-kl K -pl P] [-dp] [-seed S] [FILE]           replay a trace through a pool simulation
+  mlectrace events [-kind K] [FILE]                                        summarize a -trace-out JSONL event trace
+  mlectrace spans [FILE]                                                   render a -span-out JSONL wall-clock span file
+
+FILE defaults to stdin.`)
 }
 
 func cmdGen(args []string) error {
@@ -78,6 +105,9 @@ func cmdGen(args []string) error {
 	timeout := fs.Duration("timeout", 0, "wall-clock budget (0 = none)")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if fs.NArg() > 0 {
+		return fmt.Errorf("%w: gen takes no arguments, got %q", errUsage, fs.Args())
 	}
 	ctx, stop := runctl.CLIContext(*timeout)
 	defer stop()
@@ -106,9 +136,14 @@ func cmdStats(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	in, err := openInput(fs)
+	if err != nil {
+		return err
+	}
+	defer in.Close()
 	ctx, stop := runctl.CLIContext(*timeout)
 	defer stop()
-	tr, err := failure.ParseTrace(os.Stdin)
+	tr, err := failure.ParseTrace(in)
 	if err != nil {
 		return err
 	}
@@ -157,7 +192,12 @@ func cmdEvents(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	evs, err := obs.ParseTraceEvents(os.Stdin)
+	in, err := openInput(fs)
+	if err != nil {
+		return err
+	}
+	defer in.Close()
+	evs, err := obs.ParseTraceEvents(in)
 	if err != nil {
 		return err
 	}
@@ -214,7 +254,12 @@ func cmdSpans(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	recs, err := obs.ParseSpans(os.Stdin)
+	in, err := openInput(fs)
+	if err != nil {
+		return err
+	}
+	defer in.Close()
+	recs, err := obs.ParseSpans(in)
 	if err != nil {
 		return err
 	}
@@ -349,6 +394,11 @@ func cmdReplay(args []string) error {
 	if *disks <= 0 || *kl <= 0 || *pl <= 0 {
 		return fmt.Errorf("replay: -disks, -kl, and -pl must be positive (got %d, %d, %d)", *disks, *kl, *pl)
 	}
+	in, err := openInput(fs)
+	if err != nil {
+		return err
+	}
+	defer in.Close()
 	stopChaos, err := chaosFlags.Activate(os.Stderr)
 	if err != nil {
 		return err
@@ -356,7 +406,7 @@ func cmdReplay(args []string) error {
 	defer stopChaos()
 	ctx, stop := runctl.CLIContext(*timeout)
 	defer stop()
-	tr, err := failure.ParseTrace(os.Stdin)
+	tr, err := failure.ParseTrace(in)
 	if err != nil {
 		return err
 	}

@@ -1,11 +1,97 @@
 package main
 
 import (
+	"errors"
+	"os"
+	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"mlec/internal/obs"
 )
+
+// TestMain lets a test re-execute this binary as mlectrace itself: with
+// MLECTRACE_AS_MAIN=1 set, the process runs main on its arguments.
+func TestMain(m *testing.M) {
+	if os.Getenv("MLECTRACE_AS_MAIN") == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// runMain runs mlectrace with args and stdin, returning stdout, stderr
+// and the exit code.
+func runMain(t *testing.T, stdin string, args ...string) (stdout, stderr string, code int) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), "MLECTRACE_AS_MAIN=1")
+	cmd.Stdin = strings.NewReader(stdin)
+	var out, errb strings.Builder
+	cmd.Stdout, cmd.Stderr = &out, &errb
+	err := cmd.Run()
+	var exit *exec.ExitError
+	switch {
+	case errors.As(err, &exit):
+		code = exit.ExitCode()
+	case err != nil:
+		t.Fatal(err)
+	}
+	return out.String(), errb.String(), code
+}
+
+// TestInputFileArgument: the reading subcommands take their input from
+// one optional file argument, fall back to stdin without one, and reject
+// extra arguments with exit 2 and the usage text.
+func TestInputFileArgument(t *testing.T) {
+	dir := t.TempDir()
+	spans := filepath.Join(dir, "run.jsonl")
+	const spanFile = `{"id":1,"name":"campaign","begin_ms":0,"end_ms":100}
+{"id":2,"parent":1,"name":"level","begin_ms":5,"end_ms":60}
+`
+	events := filepath.Join(dir, "trace.jsonl")
+	const eventFile = `{"seq":1,"t":3.5,"kind":"failure","pool":0,"disk":4}
+`
+	trace := filepath.Join(dir, "pool.trace")
+	const traceFile = "3,10\n5,20\n"
+	for path, body := range map[string]string{spans: spanFile, events: eventFile, trace: traceFile} {
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	for _, tc := range []struct {
+		cmd, path, body, want string
+	}{
+		{"spans", spans, spanFile, "spans: 2"},
+		{"events", events, eventFile, "events:         1"},
+		{"stats", trace, traceFile, "events:            2"},
+		{"replay", trace, traceFile, "2 failures applied"},
+	} {
+		t.Run(tc.cmd, func(t *testing.T) {
+			fromFile, stderr, code := runMain(t, "", tc.cmd, tc.path)
+			if code != 0 || !strings.Contains(fromFile, tc.want) {
+				t.Fatalf("%s FILE: exit %d, stdout %q, stderr %q; want %q", tc.cmd, code, fromFile, stderr, tc.want)
+			}
+			fromStdin, _, code := runMain(t, tc.body, tc.cmd)
+			if code != 0 || fromStdin != fromFile {
+				t.Fatalf("%s < FILE: exit %d, stdout %q; want the file output %q", tc.cmd, code, fromStdin, fromFile)
+			}
+			_, stderr, code = runMain(t, "", tc.cmd, tc.path, tc.path)
+			if code != 2 || !strings.Contains(stderr, "at most one input file") || !strings.Contains(stderr, "usage:") {
+				t.Fatalf("%s FILE FILE: exit %d, stderr %q; want exit 2 with usage", tc.cmd, code, stderr)
+			}
+		})
+	}
+
+	if _, stderr, code := runMain(t, "", "spans", filepath.Join(dir, "missing.jsonl")); code != 1 || !strings.Contains(stderr, "missing.jsonl") {
+		t.Errorf("spans on a missing file: exit %d, stderr %q; want exit 1 naming the file", code, stderr)
+	}
+	if _, stderr, code := runMain(t, "", "gen", "extra"); code != 2 || !strings.Contains(stderr, "usage:") {
+		t.Errorf("gen with an argument: exit %d, stderr %q; want exit 2 with usage", code, stderr)
+	}
+}
 
 // TestEventSummaryKnowsEveryKind is the table test ISSUE 10 asks for:
 // one event of every kind the tree emits, summarized, and each kind

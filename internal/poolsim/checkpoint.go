@@ -99,9 +99,10 @@ func encodeSnapshots(entries []*snapshot) []snapshotJSON {
 // decodeSnapshots rebuilds level entries by cloning the pristine base
 // pool and replaying each sparse snapshot onto it, re-deriving the
 // redundant counters (lost counts, per-disk loss, failed/detected
-// totals) from the masks. Malformed snapshots — out-of-range ids, mask
-// bits beyond the stripe width, inconsistent disk states — are errors:
-// a checkpoint that fails validation must not silently seed a campaign.
+// totals, the ready index) from the masks. Malformed snapshots —
+// out-of-range ids, mask bits beyond the stripe width, inconsistent disk
+// states — are errors: a checkpoint that fails validation must not
+// silently seed a campaign.
 func decodeSnapshots(base *Pool, in []snapshotJSON) ([]*snapshot, error) {
 	cfg := base.Cfg
 	entries := make([]*snapshot, 0, len(in))
@@ -141,6 +142,7 @@ func decodeSnapshots(base *Pool, in []snapshotJSON) ([]*snapshot, error) {
 				return nil, fmt.Errorf("entry %d: healthy disk %d owns lost chunks", i, d)
 			}
 		}
+		p.rebuildIndex()
 		rem := make(map[int]float64, len(sj.Detect))
 		for _, dj := range sj.Detect {
 			if dj.D < 0 || dj.D >= cfg.Disks || p.state[dj.D] != diskFailedUndetected {

@@ -67,9 +67,12 @@ type SplitResult struct {
 	CatRateLo, CatRateHi float64
 	// Samples holds pool states at (simulated) catastrophic events.
 	Samples []CatSample
-	// EntryShortfall reports levels where the previous level produced
-	// fewer distinct entry snapshots than trajectories (resampling with
-	// replacement was used).
+	// EntryShortfall lists the levels whose entry set was thin: the
+	// previous level ended in fewer than TrajectoriesPerLevel/10
+	// non-catastrophic up-transitions, so the level's trajectories drew
+	// each entry snapshot (with replacement) more than ten times on
+	// average. It counts up-transitions, not distinct pool states: two
+	// entries may hold the same state.
 	EntryShortfall []int
 	// Partial marks an estimate cut short by context cancellation or
 	// deadline: levels beyond the last completed one are missing and
@@ -178,17 +181,22 @@ func SplitContext(ctx context.Context, cfg Config, ttf failure.Exponential, sc S
 		}
 	}
 	if !resumed {
-		// Level-1 entries: fresh pool with one random failed disk.
+		// Level-1 entries: fresh pool with one random failed disk. Entries
+		// are read-only, so every draw of disk d shares one snapshot.
 		rng := rand.New(rand.NewSource(sc.Seed ^ 0x51717))
+		perDisk := make([]*snapshot, cfg.Disks)
 		entries = make([]*snapshot, 0, n)
 		for i := 0; i < n; i++ {
-			p := base.Clone()
-			d := p.RandomHealthyDisk(rng)
-			p.FailDisk(d)
-			entries = append(entries, &snapshot{
-				pool:            p,
-				detectRemaining: map[int]float64{d: cfg.DetectionDelayHours},
-			})
+			d := base.RandomHealthyDisk(rng)
+			if perDisk[d] == nil {
+				p := base.Clone()
+				p.FailDisk(d)
+				perDisk[d] = &snapshot{
+					pool:            p,
+					detectRemaining: map[int]float64{d: cfg.DetectionDelayHours},
+				}
+			}
+			entries = append(entries, perDisk[d])
 		}
 	}
 
@@ -261,6 +269,10 @@ func SplitContext(ctx context.Context, cfg Config, ttf failure.Exponential, sc S
 				if err := faultinject.Fire("poolsim.worker", wstream); err != nil {
 					return err
 				}
+				// Worker-owned scratch state, reset per trajectory:
+				// re-seeding gives the same draws as a fresh source.
+				var scratch Pool
+				trng := rand.New(rand.NewSource(wstream))
 				for i := lo; i < hi; i++ {
 					if ctx.Err() != nil {
 						return nil // drain: finish nothing new, keep what's done
@@ -268,9 +280,9 @@ func SplitContext(ctx context.Context, cfg Config, ttf failure.Exponential, sc S
 					stream := trajSeed(sc.Seed, level, i)
 					var out slot
 					if err := runctl.Guard(stream, func() {
-						trng := rand.New(rand.NewSource(stream))
+						trng.Seed(stream)
 						entry := entries[trng.Intn(len(entries))]
-						outcome, next, catSample := runTrajectory(cfg, ttf, entry, trng)
+						outcome, next, catSample := runTrajectory(cfg, ttf, entry, &scratch, trng)
 						out = slot{outcome, next, catSample, true}
 					}); err != nil {
 						return err
@@ -385,8 +397,9 @@ func SplitContext(ctx context.Context, cfg Config, ttf failure.Exponential, sc S
 
 // runTrajectory simulates from the entry snapshot until the pool heals
 // (down), a new failure arrives (up), or that failure is catastrophic.
-func runTrajectory(cfg Config, ttf failure.Exponential, entry *snapshot, rng *rand.Rand) (trajectoryOutcome, *snapshot, *CatSample) {
-	pool := entry.pool.Clone()
+// pool is scratch space that the entry's state is copied into.
+func runTrajectory(cfg Config, ttf failure.Exponential, entry *snapshot, pool *Pool, rng *rand.Rand) (trajectoryOutcome, *snapshot, *CatSample) {
+	pool.CopyFrom(entry.pool)
 	eng := sim.New()
 
 	var repairEv *sim.Event

@@ -71,6 +71,11 @@ func main() {
 	against := flag.String("against", "", "baseline JSON file: warn when GB/s drops more than -warn-frac below its last run")
 	warnFrac := flag.Float64("warn-frac", 0.20, "fractional GB/s drop vs -against that triggers a warning")
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "mlecbench: unexpected argument %q; every option is a flag\n", flag.Arg(0))
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	// A throughput number without a label is unusable in a diff: every
 	// committed run must say what state of the tree it measured.

@@ -49,6 +49,11 @@ func main() {
 	obsFlags := obs.BindCLIFlags(flag.CommandLine)
 	chaosFlags := faultinject.BindCLIFlags(flag.CommandLine)
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "mlecburst: unexpected argument %q; every option is a flag\n", flag.Arg(0))
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	if *trials <= 0 {
 		fatalUsage("-trials must be positive, got %d", *trials)

@@ -50,6 +50,11 @@ func main() {
 	obsFlags := obs.BindCLIFlags(flag.CommandLine)
 	chaosFlags := faultinject.BindCLIFlags(flag.CommandLine)
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "mlecdur: unexpected argument %q; every option is a flag\n", flag.Arg(0))
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	if *trajectories <= 0 {
 		fatalUsage("-trajectories must be positive, got %d", *trajectories)

@@ -6,21 +6,18 @@
 // Usage:
 //
 //	mlecvet [-only name,name] [-json] [-list] [-baseline file]
-//	        [-write-baseline] [-compiler] [-race-oracle] [-timeout D]
+//	        [-write-baseline] [-race-oracle] [-timeout D]
 //	        [patterns...]
 //
 // Patterns default to ./... and support ./dir and ./dir/... forms
 // rooted at the module. The exit status is 0 when the tree is clean, 1
 // when any analyzer reports a finding, 2 on usage or load errors.
 //
-// With -compiler, mlecvet runs the compiler oracle instead of the
-// analyzers: it rebuilds the module with -d=ssa/check_bce and -m into a
-// throwaway GOCACHE (a warm cache would swallow the diagnostics),
-// collects the hotbce/hotinline claims for the swept hot loops, and
-// cross-checks them line by line. Each disagreement — a proven site the
-// compiler still checks, an eliminated check the engine cannot prove,
-// or an "inlinable" callee the inliner rejected — is printed to stdout,
-// and the exit status is 1 when any exist.
+// The hotbce and hotinline analyzers report what the compiler itself
+// says about the //mlec:hot loops: they run one `go build` with
+// -d=ssa/check_bce and -m=2 over the packages carrying a //mlec:hot
+// directive, under the -timeout budget. A package that does not
+// compile exits 2, never clean.
 //
 // With -race-oracle, mlecvet runs the race-detector oracle: the
 // concurrency analyzers (lockcheck, atomicmix, goleak, waitgroupcapture,
@@ -58,14 +55,11 @@
 package main
 
 import (
-	"bytes"
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"go/token"
 	"os"
-	"os/exec"
 	"sort"
 
 	"mlec/internal/faultinject"
@@ -105,7 +99,6 @@ func main() {
 	list := flag.Bool("list", false, "list available analyzers and exit")
 	baseline := flag.String("baseline", "", "baseline JSON file: fail only when an analyzer's finding count rises above it")
 	writeBaseline := flag.Bool("write-baseline", false, "rewrite the -baseline file with the current finding counts")
-	compiler := flag.Bool("compiler", false, "cross-check hot-loop claims against the compiler's check_bce and inliner diagnostics")
 	raceOracle := flag.Bool("race-oracle", false, "cross-check concurrency findings against `go test -race` plus the //mlec:guardedby stress harness")
 	timeout := flag.Duration("timeout", 0, "wall-clock budget for loading and analysis (0 = none)")
 	chaosFlags := faultinject.BindCLIFlags(flag.CommandLine)
@@ -161,9 +154,6 @@ func main() {
 		os.Exit(2)
 	}
 
-	if *compiler {
-		os.Exit(runCompilerOracle(ctx, pkgs))
-	}
 	if *raceOracle {
 		os.Exit(runRaceOracle(ctx, pkgs))
 	}
@@ -174,7 +164,7 @@ func main() {
 	}
 	resc := make(chan runResult, 1)
 	go func() {
-		diags, err := lint.Run(pkgs, selected)
+		diags, err := lint.Run(ctx, pkgs, selected)
 		resc <- runResult{diags, err}
 	}()
 	var diags []lint.Diagnostic
@@ -316,53 +306,6 @@ func buildReport(pkgs []*lint.Package, diags []lint.Diagnostic) jsonReport {
 		return a.Column < b.Column
 	})
 	return report
-}
-
-// runCompilerOracle rebuilds the module with bounds-check and inliner
-// diagnostics enabled, cross-checks them against the static engines'
-// claims, and returns the process exit code: 0 on full agreement, 1 on
-// any disagreement, 2 when the oracle build itself fails.
-func runCompilerOracle(ctx context.Context, pkgs []*lint.Package) int {
-	// The compiler only emits diagnostics for packages it actually
-	// compiles, so the build must run against a throwaway cache.
-	cache, err := os.MkdirTemp("", "mlecvet-oracle-*")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "mlecvet:", err)
-		return 2
-	}
-	defer os.RemoveAll(cache)
-
-	cmd := exec.CommandContext(ctx, "go", "build", "-gcflags=./...=-d=ssa/check_bce -m", "./...")
-	cmd.Env = append(os.Environ(), "GOCACHE="+cache)
-	out, err := cmd.CombinedOutput()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "mlecvet: oracle build failed: %v\n%s", err, out)
-		return 2
-	}
-
-	facts, err := lint.ParseOracle(bytes.NewReader(out))
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "mlecvet:", err)
-		return 2
-	}
-	bounds, inlines := lint.CollectOracleClaims(pkgs)
-	proven := 0
-	for _, c := range bounds {
-		if c.Proven {
-			proven++
-		}
-	}
-	disagreements := lint.CompareOracle(bounds, inlines, facts)
-	for _, d := range disagreements {
-		fmt.Println(d)
-	}
-	fmt.Fprintf(os.Stderr,
-		"mlecvet: compiler oracle: %d bounds claims (%d proven), %d inline claims, %d disagreements\n",
-		len(bounds), proven, len(inlines), len(disagreements))
-	if len(disagreements) > 0 {
-		return 1
-	}
-	return 0
 }
 
 // loadBaseline reads the per-analyzer finding-count ratchet file.

@@ -1,11 +1,49 @@
 package main
 
 import (
+	"errors"
 	"go/token"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"mlec/internal/lint"
 )
+
+// TestMain lets a test re-execute this binary as mlecvet itself: with
+// MLECVET_AS_MAIN=1 set, the process runs main on its arguments.
+func TestMain(m *testing.M) {
+	if os.Getenv("MLECVET_AS_MAIN") == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestUncompilableHotPackageExits2: hotbce and hotinline report the
+// compiler's own verdicts, so a //mlec:hot package the compiler cannot
+// build is a load failure (exit 2), never a clean run.
+func TestUncompilableHotPackageExits2(t *testing.T) {
+	root, err := filepath.Abs("../..")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmd := exec.Command(os.Args[0], "-timeout", "60s", "./internal/lint/testdata/src/hotbroken")
+	cmd.Dir = root
+	cmd.Env = append(os.Environ(), "MLECVET_AS_MAIN=1")
+	var stdout, stderr strings.Builder
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	err = cmd.Run()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+		t.Fatalf("exit = %v, want status 2; stdout:\n%s\nstderr:\n%s", err, stdout.String(), stderr.String())
+	}
+	if !strings.Contains(stderr.String(), "missing function body") {
+		t.Errorf("stderr lacks the compiler's error:\n%s", stderr.String())
+	}
+}
 
 // TestBuildReportOrdering locks down the -json contract: findings come
 // out sorted by (file, line, analyzer) and malformed directives by

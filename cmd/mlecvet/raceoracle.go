@@ -28,7 +28,7 @@ import (
 //     file carrying a finding. Unexplained blocks go to stdout (the CI
 //     artifact) and fail the run.
 func runRaceOracle(ctx context.Context, pkgs []*lint.Package) int {
-	diags, err := lint.Run(pkgs, lint.ConcurrencyAnalyzers())
+	diags, err := lint.Run(ctx, pkgs, lint.ConcurrencyAnalyzers())
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "mlecvet:", err)
 		return 2

@@ -148,27 +148,15 @@ func (w *escapeWalker) prepare(body *ast.BlockStmt) {
 	w.bound = make(map[ast.Expr]types.Object)
 
 	ast.Inspect(body, func(n ast.Node) bool {
+		for _, e := range earlyExits(n) {
+			w.coldRoots[e] = true
+		}
 		switch n := n.(type) {
 		case *ast.FuncLit:
 			// The literal's free variables escape into the closure;
 			// its body is out of scope.
 			w.markFreeVars(n)
 			return false
-		case *ast.IfStmt:
-			if terminates(n.Body.List) {
-				w.coldRoots[n.Body] = true
-			}
-			if els, ok := n.Else.(*ast.BlockStmt); ok && terminates(els.List) {
-				w.coldRoots[els] = true
-			}
-		case *ast.CaseClause:
-			if terminates(n.Body) {
-				w.coldRoots[n] = true
-			}
-		case *ast.CommClause:
-			if terminates(n.Body) {
-				w.coldRoots[n] = true
-			}
 		case *ast.ReturnStmt:
 			for _, r := range n.Results {
 				w.markEscape(r)
@@ -200,6 +188,31 @@ func (w *escapeWalker) prepare(body *ast.BlockStmt) {
 		}
 		return true
 	})
+}
+
+// earlyExits returns the branches of n that end in return or panic:
+// an if's body or else block, or a case or comm clause. Each runs at
+// most once per enclosing loop, so the hot-path checks treat it as cold.
+func earlyExits(n ast.Node) []ast.Node {
+	var out []ast.Node
+	switch n := n.(type) {
+	case *ast.IfStmt:
+		if terminates(n.Body.List) {
+			out = append(out, n.Body)
+		}
+		if els, ok := n.Else.(*ast.BlockStmt); ok && terminates(els.List) {
+			out = append(out, els)
+		}
+	case *ast.CaseClause:
+		if terminates(n.Body) {
+			out = append(out, n)
+		}
+	case *ast.CommClause:
+		if terminates(n.Body) {
+			out = append(out, n)
+		}
+	}
+	return out
 }
 
 // terminates reports whether a statement list ends in a return or a

@@ -65,6 +65,10 @@ type Facts struct {
 	// fixed-point iteration any component needed.
 	sccCount    int
 	maxSCCIters int
+
+	// compile runs the one compiler build behind hotbce and hotinline
+	// (compilercheck.go) on first use; Run sets it, bound by its context.
+	compile func() (*gcDiags, error)
 }
 
 // declSite pairs a function declaration with the package whose

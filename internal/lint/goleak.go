@@ -115,7 +115,7 @@ func reportAddInsideGoroutine(pass *Pass, lit *ast.FuncLit) {
 // reference inside the spawned body — including inside its nested
 // deferred closures, where runctl.Pool puts it.
 func wgPaired(pass *Pass, encl *ast.BlockStmt, g *ast.GoStmt, spawned *ast.BlockStmt) bool {
-	added := make(map[sliceRef]bool)
+	added := make(map[varRef]bool)
 	ast.Inspect(encl, func(n ast.Node) bool {
 		if n == nil {
 			return false
@@ -150,10 +150,10 @@ func wgPaired(pass *Pass, encl *ast.BlockStmt, g *ast.GoStmt, spawned *ast.Block
 
 // wgCall matches ref.<method>() on a sync.WaitGroup and resolves the
 // receiver reference.
-func wgCall(info *types.Info, call *ast.CallExpr, method string) (sliceRef, bool) {
+func wgCall(info *types.Info, call *ast.CallExpr, method string) (varRef, bool) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok || sel.Sel.Name != method {
-		return sliceRef{}, false
+		return varRef{}, false
 	}
 	t := info.TypeOf(sel.X)
 	if ptr, ok := t.(*types.Pointer); ok {
@@ -161,11 +161,11 @@ func wgCall(info *types.Info, call *ast.CallExpr, method string) (sliceRef, bool
 	}
 	named, ok := t.(*types.Named)
 	if !ok {
-		return sliceRef{}, false
+		return varRef{}, false
 	}
 	obj := named.Obj()
 	if obj.Pkg() == nil || obj.Pkg().Path() != "sync" || obj.Name() != "WaitGroup" {
-		return sliceRef{}, false
+		return varRef{}, false
 	}
 	return resolveRef(info, sel.X)
 }
@@ -219,7 +219,7 @@ func hasCancelPath(pass *Pass, body *ast.BlockStmt, depth int) bool {
 // sends on (or closes) a channel reference, and the enclosing function
 // receives from the same reference after the go statement.
 func channelJoined(pass *Pass, encl *ast.BlockStmt, g *ast.GoStmt, spawned *ast.BlockStmt) bool {
-	sent := make(map[sliceRef]bool)
+	sent := make(map[varRef]bool)
 	ast.Inspect(spawned, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.SendStmt:

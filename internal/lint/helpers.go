@@ -116,8 +116,49 @@ func receiverBaseType(info *types.Info, decl *ast.FuncDecl) *types.Named {
 	return named
 }
 
+// inside reports whether n lies within one of the spans.
+func inside[T ast.Node](n ast.Node, spans []T) bool {
+	for _, s := range spans {
+		if n.Pos() >= s.Pos() && n.End() <= s.End() {
+			return true
+		}
+	}
+	return false
+}
+
 // isLibraryPackage reports whether the package is library code (not a
 // main package); analyzers about API discipline skip binaries.
 func isLibraryPackage(pkg *types.Package) bool {
 	return pkg.Name() != "main"
+}
+
+// A varRef names a variable, optionally extended by a chain of field
+// selections (`mu`, `s.mu`, `e.queue`). The zero path means the object
+// itself. goleak keys WaitGroups and channels by it, lockstate locks.
+type varRef struct {
+	obj  types.Object
+	path string // "" or ".field" chains, e.g. ".queue"
+}
+
+// resolveRef resolves e to a varRef when e is an identifier or a pure
+// field-selection chain rooted at one.
+func resolveRef(info *types.Info, e ast.Expr) (varRef, bool) {
+	switch x := ast.Unparen(e).(type) {
+	case *ast.Ident:
+		obj := info.ObjectOf(x)
+		if _, ok := obj.(*types.Var); ok {
+			return varRef{obj: obj}, true
+		}
+	case *ast.SelectorExpr:
+		sel, ok := info.Selections[x]
+		if !ok || sel.Kind() != types.FieldVal {
+			return varRef{}, false
+		}
+		base, ok := resolveRef(info, x.X)
+		if !ok {
+			return varRef{}, false
+		}
+		return varRef{obj: base.obj, path: base.path + "." + x.Sel.Name}, true
+	}
+	return varRef{}, false
 }

@@ -58,11 +58,8 @@ func eachHotSite(pass *Pass, fn func(scope hotScope, s AllocSite)) {
 			}
 			scope := hotScope{fd, "inside //mlec:hot region of " + fd.Name.Name}
 			for _, s := range pass.FuncAllocSites(fd) {
-				for _, r := range regions {
-					if s.Node.Pos() >= r.Pos() && s.Node.End() <= r.End() {
-						fn(scope, s)
-						break
-					}
+				if inside(s.Node, regions) {
+					fn(scope, s)
 				}
 			}
 		}

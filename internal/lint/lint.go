@@ -25,12 +25,14 @@
 package lint
 
 import (
+	"context"
 	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // An Analyzer describes one analysis pass: a named checker with a
@@ -93,10 +95,12 @@ func (d Diagnostic) String() string {
 }
 
 // Run executes every analyzer over every package and returns the
-// combined findings sorted by file position.
-func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
+// combined findings sorted by file position. ctx bounds the one
+// compiler build behind hotbce and hotinline.
+func Run(ctx context.Context, pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	var diags []Diagnostic
 	facts := NewFacts(pkgs)
+	facts.compile = sync.OnceValues(func() (*gcDiags, error) { return runCompiler(ctx, pkgs) })
 	for _, pkg := range pkgs {
 		for _, a := range analyzers {
 			pass := &Pass{

@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"context"
 	"go/token"
 	"path/filepath"
 	"regexp"
@@ -110,7 +111,7 @@ func runFixture(t *testing.T, l *Loader, a *Analyzer, name string) {
 	t.Helper()
 	pkg := loadFixture(t, l, name)
 	wants := collectWants(t, pkg)
-	diags, err := Run([]*Package{pkg}, []*Analyzer{a})
+	diags, err := Run(context.Background(), []*Package{pkg}, []*Analyzer{a})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +258,7 @@ func TestSuiteIsClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags, err := Run(pkgs, All())
+	diags, err := Run(context.Background(), pkgs, All())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -291,10 +291,10 @@ type lockVal struct {
 
 func (v lockVal) zero() bool { return v == lockVal{} }
 
-// lockState maps lock references to their state. sliceRef (bounds.go)
+// lockState maps lock references to their state. varRef (helpers.go)
 // is reused as the reference type: an object root plus a selection
 // path is exactly what identifies a mutex too.
-type lockState map[sliceRef]lockVal
+type lockState map[varRef]lockVal
 
 func (s lockState) clone() lockState {
 	c := make(lockState, len(s))
@@ -496,7 +496,7 @@ func (e *lockEngine) checkExit(blk *cfg.Block, st lockState, body *ast.BlockStmt
 	if len(blk.Nodes) > 0 {
 		pos = blk.Nodes[len(blk.Nodes)-1].Pos()
 	}
-	var refs []sliceRef
+	var refs []varRef
 	for ref := range st {
 		refs = append(refs, ref)
 	}
@@ -706,32 +706,32 @@ func (e *lockEngine) call(call *ast.CallExpr, st lockState, report bool) {
 
 // lockOp recognizes mu.Lock / Unlock / RLock / RUnlock on a resolvable
 // mutex reference.
-func (e *lockEngine) lockOp(sel *ast.SelectorExpr) (string, sliceRef, bool) {
+func (e *lockEngine) lockOp(sel *ast.SelectorExpr) (string, varRef, bool) {
 	switch sel.Sel.Name {
 	case "Lock", "Unlock", "RLock", "RUnlock":
 	default:
-		return "", sliceRef{}, false
+		return "", varRef{}, false
 	}
 	if e.info == nil {
-		return "", sliceRef{}, false
+		return "", varRef{}, false
 	}
 	t := e.info.TypeOf(sel.X)
 	if ptr, ok := t.(*types.Pointer); ok {
 		t = ptr.Elem()
 	}
 	if !isMutex(t) {
-		return "", sliceRef{}, false
+		return "", varRef{}, false
 	}
 	ref, ok := resolveRef(e.info, sel.X)
 	if !ok {
-		return "", sliceRef{}, false
+		return "", varRef{}, false
 	}
 	return sel.Sel.Name, ref, true
 }
 
 // applyLockOp updates st for one mutex operation and reports the
 // double-lock / unheld-release family.
-func (e *lockEngine) applyLockOp(op string, ref sliceRef, pos token.Pos, st lockState, report bool) {
+func (e *lockEngine) applyLockOp(op string, ref varRef, pos token.Pos, st lockState, report bool) {
 	v := st[ref]
 	label := lockRefLabel(ref)
 	switch op {
@@ -776,7 +776,7 @@ func (e *lockEngine) applyLockOp(op string, ref sliceRef, pos token.Pos, st lock
 }
 
 // noteInternal records an acquisition for the self-deadlock summary.
-func (e *lockEngine) noteInternal(ref sliceRef, read bool) {
+func (e *lockEngine) noteInternal(ref varRef, read bool) {
 	if e.mode != lockModeDecl {
 		return
 	}
@@ -788,7 +788,7 @@ func (e *lockEngine) noteInternal(ref sliceRef, read bool) {
 
 // releaseInference absorbs an unlock-at-depth-zero into the releases
 // summary when the function may legitimately be an unlock helper.
-func (e *lockEngine) releaseInference(ref sliceRef, read bool) bool {
+func (e *lockEngine) releaseInference(ref varRef, read bool) bool {
 	if !e.allowInference() {
 		return false
 	}
@@ -808,7 +808,7 @@ func (e *lockEngine) deferStmt(d *ast.DeferStmt, st lockState, report bool) {
 	for _, a := range d.Call.Args {
 		e.expr(a, false, st, report)
 	}
-	addDeferred := func(ref sliceRef, read bool) {
+	addDeferred := func(ref varRef, read bool) {
 		v := st[ref]
 		if read {
 			if v.dr < 2 {
@@ -873,7 +873,7 @@ func (e *lockEngine) deferStmt(d *ast.DeferStmt, st lockState, report bool) {
 
 // applySummary composes a module callee's lock summary into st.
 func (e *lockEngine) applySummary(callee *types.Func, sum *lockSummary, call *ast.CallExpr, st lockState, report bool) {
-	held := func(ref sliceRef, read bool) bool {
+	held := func(ref varRef, read bool) bool {
 		v := st[ref]
 		if read {
 			return v.w > 0 || v.r > 0
@@ -971,43 +971,43 @@ func (e *lockEngine) access(x ast.Expr, write bool, st lockState, report bool) {
 
 // guardOfExpr resolves x to an annotated field or package var and
 // returns the concrete lock reference guarding it.
-func (e *lockEngine) guardOfExpr(x ast.Expr) (sliceRef, *types.Var, *types.Var, bool) {
+func (e *lockEngine) guardOfExpr(x ast.Expr) (varRef, *types.Var, *types.Var, bool) {
 	switch x := x.(type) {
 	case *ast.SelectorExpr:
 		s, ok := e.info.Selections[x]
 		if !ok || s.Kind() != types.FieldVal {
-			return sliceRef{}, nil, nil, false
+			return varRef{}, nil, nil, false
 		}
 		field, ok := s.Obj().(*types.Var)
 		if !ok {
-			return sliceRef{}, nil, nil, false
+			return varRef{}, nil, nil, false
 		}
 		mu := e.facts.guardedFields[field]
 		if mu == nil {
-			return sliceRef{}, nil, nil, false
+			return varRef{}, nil, nil, false
 		}
 		base, ok := resolveRef(e.info, x.X)
 		if !ok || e.locallyBorn[base.obj] {
-			return sliceRef{}, nil, nil, false
+			return varRef{}, nil, nil, false
 		}
-		return sliceRef{obj: base.obj, path: base.path + "." + mu.Name()}, mu, field, true
+		return varRef{obj: base.obj, path: base.path + "." + mu.Name()}, mu, field, true
 	case *ast.Ident:
 		obj, ok := e.info.ObjectOf(x).(*types.Var)
 		if !ok {
-			return sliceRef{}, nil, nil, false
+			return varRef{}, nil, nil, false
 		}
 		mu := e.facts.guardedVars[obj]
 		if mu == nil {
-			return sliceRef{}, nil, nil, false
+			return varRef{}, nil, nil, false
 		}
-		return sliceRef{obj: mu}, mu, obj, true
+		return varRef{obj: mu}, mu, obj, true
 	}
-	return sliceRef{}, nil, nil, false
+	return varRef{}, nil, nil, false
 }
 
 // requireInference absorbs an unheld obligation into the requires
 // summary when propagation to callers is legitimate.
-func (e *lockEngine) requireInference(ref sliceRef, read bool) bool {
+func (e *lockEngine) requireInference(ref varRef, read bool) bool {
 	if !e.allowInference() {
 		return false
 	}
@@ -1039,7 +1039,7 @@ func (e *lockEngine) isLockHelper() bool {
 
 // absOf abstracts a concrete lock reference through this function's
 // boundary, if its root is the receiver, a parameter, or package-level.
-func (e *lockEngine) absOf(ref sliceRef) (lockAbs, bool) {
+func (e *lockEngine) absOf(ref varRef) (lockAbs, bool) {
 	if ref.obj == nil {
 		return lockAbs{}, false
 	}
@@ -1058,7 +1058,7 @@ func (e *lockEngine) absOf(ref sliceRef) (lockAbs, bool) {
 
 // concretize maps a callee's abstract lock to a caller reference at one
 // call site.
-func (e *lockEngine) concretize(abs lockAbs, call *ast.CallExpr) (sliceRef, bool) {
+func (e *lockEngine) concretize(abs lockAbs, call *ast.CallExpr) (varRef, bool) {
 	unwrap := func(x ast.Expr) ast.Expr {
 		x = ast.Unparen(x)
 		if u, ok := x.(*ast.UnaryExpr); ok && u.Op == token.AND {
@@ -1068,28 +1068,28 @@ func (e *lockEngine) concretize(abs lockAbs, call *ast.CallExpr) (sliceRef, bool
 	}
 	switch abs.kind {
 	case 'g':
-		return sliceRef{obj: abs.obj, path: abs.path}, true
+		return varRef{obj: abs.obj, path: abs.path}, true
 	case 'r':
 		sel, ok := call.Fun.(*ast.SelectorExpr)
 		if !ok {
-			return sliceRef{}, false
+			return varRef{}, false
 		}
 		base, ok := resolveRef(e.info, unwrap(sel.X))
 		if !ok {
-			return sliceRef{}, false
+			return varRef{}, false
 		}
-		return sliceRef{obj: base.obj, path: base.path + abs.path}, true
+		return varRef{obj: base.obj, path: base.path + abs.path}, true
 	case 'p':
 		if abs.idx >= len(call.Args) {
-			return sliceRef{}, false
+			return varRef{}, false
 		}
 		base, ok := resolveRef(e.info, unwrap(call.Args[abs.idx]))
 		if !ok {
-			return sliceRef{}, false
+			return varRef{}, false
 		}
-		return sliceRef{obj: base.obj, path: base.path + abs.path}, true
+		return varRef{obj: base.obj, path: base.path + abs.path}, true
 	}
-	return sliceRef{}, false
+	return varRef{}, false
 }
 
 // collectLocallyBorn marks objects initialized from fresh composite
@@ -1150,7 +1150,7 @@ func (e *lockEngine) emit(pos token.Pos, format string, args ...any) {
 }
 
 // lockRefLabel renders a lock reference for diagnostics: "r.mu".
-func lockRefLabel(ref sliceRef) string {
+func lockRefLabel(ref varRef) string {
 	if ref.obj == nil {
 		return "<lock>" + ref.path
 	}

@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"context"
 	"go/parser"
 	"go/token"
 	"os"
@@ -188,7 +189,7 @@ func TestRaceOracleExplained(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags, err := Run(pkgs, ConcurrencyAnalyzers())
+	diags, err := Run(context.Background(), pkgs, ConcurrencyAnalyzers())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +240,7 @@ func TestRaceOracleUnexplained(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags, err := Run(pkgs, ConcurrencyAnalyzers())
+	diags, err := Run(context.Background(), pkgs, ConcurrencyAnalyzers())
 	if err != nil {
 		t.Fatal(err)
 	}

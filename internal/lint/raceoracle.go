@@ -27,8 +27,7 @@ import (
 // The direction of the check is deliberate. The race detector only
 // observes executed interleavings, so "no race" proves nothing and the
 // oracle never demands a race per finding. But every race it does see
-// must be explained by a static claim — the same asymmetric contract
-// the compiler oracle (oracle.go) applies to bounds checks.
+// must be explained by a static claim.
 
 // ConcurrencyAnalyzers returns the analyzers whose findings count as
 // explanations for a race-detector report: the lock-discipline,

@@ -135,9 +135,9 @@ func (c *Codec) checkShards(shards [][]byte, wantAll bool) (int, error) {
 //
 // The guards inside the loops below never fire — checkShards and the
 // construction of dual already establish the geometry — but they state
-// the length relations locally, which is what lets both the hotbce
-// value-range engine and the compiler's prove pass eliminate every
-// bounds check on the indexing that follows.
+// the length relations locally, which is what lets the compiler's
+// prove pass eliminate every bounds check on the indexing that follows
+// (hotbce fails on any it keeps).
 //
 //mlec:hot steady-state encode path; zero allocations per call
 func (c *Codec) Encode(shards [][]byte) error {

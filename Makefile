@@ -20,8 +20,9 @@ vet:
 ## The committed baseline ratchets per-analyzer finding counts (they may
 ## fall, never rise) and the timeout is the CI budget: a run that cannot
 ## finish in 60s is itself a regression and exits 2. The budget covers
-## the one `go build -gcflags=-d=ssa/check_bce -m=2` of the //mlec:hot
-## packages behind hotbce and hotinline.
+## the one `go build -gcflags=-d=defer,ssa/check_bce -m=2` of the
+## //mlec:hot packages whose bounds-check, inlining, escape and defer
+## verdicts hotbce, hotinline, hotalloc, hotiface and hotdefer report.
 lint:
 	$(GO) run ./cmd/mlecvet -baseline lint/baseline.json -timeout 60s ./...
 
@@ -103,6 +104,5 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzParseTrace -fuzztime=10s ./internal/failure
 	$(GO) test -run='^$$' -fuzz=FuzzParseAllowDirective -fuzztime=10s ./internal/lint
 	$(GO) test -run='^$$' -fuzz=FuzzTaintEngine -fuzztime=10s ./internal/lint
-	$(GO) test -run='^$$' -fuzz=FuzzEscapeEngine -fuzztime=10s ./internal/lint
 	$(GO) test -run='^$$' -fuzz=FuzzLockStateEngine -fuzztime=10s ./internal/lint
 	$(GO) test -run='^$$' -fuzz=FuzzLoadCheckpoint -fuzztime=10s ./internal/runctl

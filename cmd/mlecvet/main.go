@@ -13,11 +13,11 @@
 // rooted at the module. The exit status is 0 when the tree is clean, 1
 // when any analyzer reports a finding, 2 on usage or load errors.
 //
-// The hotbce and hotinline analyzers report what the compiler itself
-// says about the //mlec:hot loops: they run one `go build` with
-// -d=ssa/check_bce and -m=2 over the packages carrying a //mlec:hot
-// directive, under the -timeout budget. A package that does not
-// compile exits 2, never clean.
+// The hotbce, hotinline, hotalloc, hotiface and hotdefer analyzers
+// report what the compiler itself says about //mlec:hot code: they
+// share one `go build` with -d=defer,ssa/check_bce and -m=2 over the
+// packages carrying a //mlec:hot directive, under the -timeout budget.
+// A package that does not compile exits 2, never clean.
 //
 // With -race-oracle, mlecvet runs the race-detector oracle: the
 // concurrency analyzers (lockcheck, atomicmix, goleak, waitgroupcapture,

@@ -22,7 +22,7 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// TestUncompilableHotPackageExits2: hotbce and hotinline report the
+// TestUncompilableHotPackageExits2: the hot-path analyzers report the
 // compiler's own verdicts, so a //mlec:hot package the compiler cannot
 // build is a load failure (exit 2), never a clean run.
 func TestUncompilableHotPackageExits2(t *testing.T) {

@@ -7,13 +7,13 @@ import (
 
 // BenchmarkMlecvetWholeRepo measures a full `mlecvet ./...` — load,
 // type-check, eager whole-program summary computation, every analyzer,
-// and the one compiler build behind hotbce and hotinline — which is
+// and the one compiler build behind the hot-path checks — which is
 // exactly what `make check` runs with a 60-second budget (cmd/mlecvet
 // -timeout). The benchmark keeps that budget honest locally. On a
-// 2-vCPU Xeon (go1.24.0) with a warm GOCACHE a run takes ~5.0 s, of
-// which the compiler build is ~0.5 s. With an empty GOCACHE that build
+// 2-vCPU Xeon (go1.24.0) with a warm GOCACHE a run takes ~4.4–5.2 s, of
+// which the compiler build is ~0.2 s. With an empty GOCACHE that build
 // also compiles the standard library, and the mlecvet command takes
-// ~24 s, still inside the budget.
+// ~32 s, still inside the budget.
 func BenchmarkMlecvetWholeRepo(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		l, err := NewLoader(".")

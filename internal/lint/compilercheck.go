@@ -15,25 +15,28 @@ import (
 	"slices"
 	"strconv"
 	"strings"
-
-	"mlec/internal/lint/cfg"
 )
 
-// hotbce and hotinline report what the compiler itself says about the
-// //mlec:hot loops (DESIGN.md §13). Once per Run, under its context,
+// The compiler is the analyzer for //mlec:hot code (DESIGN.md §13).
+// Once per Run, under its context,
 //
-//	go build -o /dev/null -gcflags='<pkg>=-d=ssa/check_bce -m=2' <pkgs>
+//	go build -o /dev/null -gcflags='<pkg>=-d=defer,ssa/check_bce -m=2' <pkgs>
 //
-// builds the loaded packages that carry a //mlec:hot directive (their
-// in-module imports get the flags too, so every callee has a verdict).
+// builds the loaded packages that carry a //mlec:hot directive. The
+// flags go to those packages, their in-module imports and every package
+// holding a function hot by propagation, so every callee has a verdict
+// and every hot function an escape analysis. hotbce and hotinline map
 // `Found IsInBounds`, `inlining call to F` and `[can|cannot] inline F`
-// lines are mapped onto the loop sites of directly annotated functions
-// and hot regions: index and slice expressions by their `[`, calls by
-// their `(`, where the compiler puts its column. Closure bodies and
-// early-exit branches (an if/case body ending in return or panic) are
-// not loop sites. A package that does not compile fails the Run, and so
-// does a directly hot function without a verdict, so a change in the
-// diagnostic format cannot pass as a clean kernel.
+// lines onto the loop sites of directly annotated functions and hot
+// regions: index and slice expressions by their `[`, calls by their
+// `(`, where the compiler puts its column. hotalloc, hotiface and
+// hotdefer map `… escapes to heap`, `moved to heap: x` and
+// `heap-allocated defer` onto all of hot scope (hotalloc.go). Closure
+// bodies and early-exit branches (an if/case body ending in return or
+// panic) are out of scope. A package that does not compile fails the
+// Run, and so does a directly hot function without an inliner verdict
+// or a hot package without a single escape-analysis line, so a change
+// in the diagnostic format cannot pass as a clean kernel.
 
 // HotBCE reports the bounds checks the compiler keeps in hot loops.
 var HotBCE = &Analyzer{
@@ -43,13 +46,13 @@ var HotBCE = &Analyzer{
 }
 
 // HotInline reports hot-loop calls the compiler did not inline because
-// the call is indirect or the in-module callee's shape defeats the
-// inliner. Size-only rejections ("function too complex": the callee
-// amortizes its call), //mlec:cold and out-of-module callees, and
-// interface calls (hotiface's) are exempt.
+// the in-module callee's shape defeats the inliner. Size-only
+// rejections ("function too complex": the callee amortizes its call),
+// //mlec:cold and out-of-module callees, and calls through interfaces
+// or function values (hotiface's) are exempt.
 var HotInline = &Analyzer{
 	Name: "hotinline",
-	Doc:  "report hot-loop calls the inliner rejects for shape, or indirect calls (-m=2)",
+	Doc:  "report hot-loop calls the inliner rejects for their callee's shape (-m=2)",
 	Run:  runCompilerCheck,
 }
 
@@ -65,11 +68,29 @@ type gcVerdict struct {
 	reason string // "" when the function can inline
 }
 
+// gcEscape is one heap allocation the escape analysis reports.
+type gcEscape struct {
+	line, col int
+	kind      escKind
+	what      string // as printed: make([]byte, n), ... argument, ~r0, x
+	inlined   bool   // printed at a call site the inliner expanded
+}
+
+type escKind int
+
+const (
+	escHeap  escKind = iota // `what escapes to heap`
+	escMoved                // `moved to heap: what`
+	escDefer                // `heap-allocated defer`
+)
+
 // gcDiags is the parsed output of one build.
 type gcDiags struct {
-	bce      map[string][]gcPos  // file -> kept bounds checks
-	inlined  map[gcPos]bool      // call sites the inliner expanded
-	verdicts map[gcPos]gcVerdict // keyed as verdict() looks them up
+	bce      map[string][]gcPos    // file -> kept bounds checks
+	inlined  map[gcPos]bool        // call sites the inliner expanded
+	verdicts map[gcPos]gcVerdict   // keyed as verdict() looks them up
+	escapes  map[string][]gcEscape // file -> heap allocations, deduplicated
+	escFiles map[string]bool       // files with any escape-analysis line
 }
 
 var gcLineRe = regexp.MustCompile(`^(.+\.go):(\d+):(\d+): (.*)$`)
@@ -77,7 +98,8 @@ var gcLineRe = regexp.MustCompile(`^(.+\.go):(\d+):(\d+): (.*)$`)
 // parseCompilerOutput reads the build output; dir resolves the relative
 // paths the go command prints.
 func parseCompilerOutput(dir string, out []byte) *gcDiags {
-	d := &gcDiags{bce: map[string][]gcPos{}, inlined: map[gcPos]bool{}, verdicts: map[gcPos]gcVerdict{}}
+	d := &gcDiags{bce: map[string][]gcPos{}, inlined: map[gcPos]bool{}, verdicts: map[gcPos]gcVerdict{},
+		escapes: map[string][]gcEscape{}, escFiles: map[string]bool{}}
 	for _, line := range strings.Split(string(out), "\n") {
 		m := gcLineRe.FindStringSubmatch(line)
 		if m == nil {
@@ -100,9 +122,36 @@ func parseCompilerOutput(dir string, out []byte) *gcDiags {
 			d.inlined[pos] = true
 		} else if (msg == "Found IsInBounds" || msg == "Found IsSliceInBounds") && !slices.Contains(d.bce[file], pos) {
 			d.bce[file] = append(d.bce[file], pos)
+		} else if e, ok := parseEscape(msg); ok {
+			d.escFiles[file] = true
+			e.line, e.col = ln, col
+			if e.what != "" && !slices.Contains(d.escapes[file], e) {
+				d.escapes[file] = append(d.escapes[file], e)
+			}
+		}
+	}
+	for file, es := range d.escapes {
+		for i := range es {
+			es[i].inlined = d.inlined[gcPos{file, es[i].line, es[i].col}]
 		}
 	}
 	return d
+}
+
+// parseEscape reads one escape-analysis message. ok reports any escape
+// verdict, including `does not escape` and leaking parameters, whose
+// gcEscape carries no what and is no allocation.
+func parseEscape(msg string) (e gcEscape, ok bool) {
+	if what, ok := strings.CutSuffix(strings.TrimSuffix(msg, ":"), " escapes to heap"); ok {
+		return gcEscape{kind: escHeap, what: what}, true
+	}
+	if what, ok := strings.CutPrefix(msg, "moved to heap: "); ok {
+		return gcEscape{kind: escMoved, what: what}, true
+	}
+	if msg == "heap-allocated defer" {
+		return gcEscape{kind: escDefer, what: "defer"}, true
+	}
+	return gcEscape{}, strings.HasSuffix(msg, "does not escape") || strings.HasPrefix(msg, "leaking param")
 }
 
 // verdict returns the inliner's verdict on fd, which the compiler
@@ -118,7 +167,7 @@ func (d *gcDiags) verdict(fset *token.FileSet, fd *ast.FuncDecl) (gcVerdict, boo
 }
 
 // runCompiler builds the hot packages among pkgs and parses the output.
-func runCompiler(ctx context.Context, pkgs []*Package) (*gcDiags, error) {
+func runCompiler(ctx context.Context, pkgs []*Package, facts *Facts) (*gcDiags, error) {
 	var targets []string
 	dir, flagged := "", make(map[string]bool)
 	for _, p := range pkgs {
@@ -137,9 +186,12 @@ func runCompiler(ctx context.Context, pkgs []*Package) (*gcDiags, error) {
 	if len(targets) == 0 {
 		return parseCompilerOutput(dir, nil), nil
 	}
+	for fn := range facts.hot {
+		flagged[fn.Pkg().Path()] = true
+	}
 	args := []string{"build", "-o", os.DevNull}
 	for _, path := range slices.Sorted(maps.Keys(flagged)) {
-		args = append(args, "-gcflags="+path+"=-d=ssa/check_bce -m=2")
+		args = append(args, "-gcflags="+path+"=-d=defer,ssa/check_bce -m=2")
 	}
 	cmd := exec.CommandContext(ctx, "go", append(args, targets...)...)
 	cmd.Dir = dir
@@ -166,57 +218,30 @@ type loopSite struct {
 // functions and hot regions, keyed by the `[` or `(` position.
 func hotLoopSites(pass *Pass, gc *gcDiags) (map[token.Pos]loopSite, error) {
 	sites := make(map[token.Pos]loopSite)
-	for _, f := range pass.Files {
-		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Body == nil || pass.FuncCold(fd) {
-				continue
+	var err error
+	eachHotNode(pass, true, func(h hotNode) {
+		switch x := h.node.(type) {
+		case *ast.FuncDecl:
+			// Generic functions only get verdicts per instantiation.
+			sig := pass.declFunc(x).Type().(*types.Signature)
+			if _, ok := gc.verdict(pass.Fset, x); !ok && sig.TypeParams().Len()+sig.RecvTypeParams().Len() == 0 && err == nil {
+				err = fmt.Errorf("compiler check: no `can inline`/`cannot inline %s` line at %s; has the -m=2 format changed?", x.Name.Name, pass.Fset.Position(x.Pos()))
 			}
-			var regions []ast.Stmt
-			if !pass.funcDirectHot(fd) {
-				if regions = pass.HotRegions(fd); len(regions) == 0 {
-					continue
-				}
-			} else if sig := pass.declFunc(fd).Type().(*types.Signature); sig.TypeParams().Len()+sig.RecvTypeParams().Len() == 0 {
-				// Generic functions only get verdicts per instantiation.
-				if _, ok := gc.verdict(pass.Fset, fd); !ok {
-					return nil, fmt.Errorf("compiler check: no `can inline`/`cannot inline %s` line at %s; has the -m=2 format changed?", fd.Name.Name, pass.Fset.Position(fd.Pos()))
-				}
+		case *ast.IndexExpr:
+			if h.inLoop && !h.cold {
+				sites[x.Lbrack] = loopSite{h.fd, x}
 			}
-			var skip []ast.Node // closures and early-exit branches
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				if _, ok := n.(*ast.FuncLit); ok {
-					skip = append(skip, n)
-				}
-				skip = append(skip, earlyExits(n)...)
-				return true
-			})
-			g := cfg.Build(fd.Body)
-			loops := g.LoopBlocks()
-			for _, b := range g.Blocks {
-				for _, node := range b.Nodes {
-					if !loops[b] || (regions != nil && !inside(node, regions)) {
-						continue
-					}
-					ast.Inspect(node, func(n ast.Node) bool {
-						if n == nil || inside(n, skip) {
-							return false
-						}
-						switch x := n.(type) {
-						case *ast.IndexExpr:
-							sites[x.Lbrack] = loopSite{fd, x}
-						case *ast.SliceExpr:
-							sites[x.Lbrack] = loopSite{fd, x}
-						case *ast.CallExpr:
-							sites[x.Lparen] = loopSite{fd, x}
-						}
-						return true
-					})
-				}
+		case *ast.SliceExpr:
+			if h.inLoop && !h.cold {
+				sites[x.Lbrack] = loopSite{h.fd, x}
+			}
+		case *ast.CallExpr:
+			if h.inLoop && !h.cold {
+				sites[x.Lparen] = loopSite{h.fd, x}
 			}
 		}
-	}
-	return sites, nil
+	})
+	return sites, err
 }
 
 // runCompilerCheck is the Run of both hotbce and hotinline.
@@ -298,12 +323,11 @@ func judgeCall(pass *Pass, gc *gcDiags, call *ast.CallExpr) string {
 		callee, _ = pass.Info.Uses[x.Sel].(*types.Func)
 	}
 	if callee == nil {
-		return types.ExprString(call.Fun) + " through a function value in a hot loop; an indirect call cannot be inlined — " +
-			"devirtualize it (call the function directly) or hoist the dispatch out of the loop"
+		return "" // a call through a function value: hotiface's
 	}
 	callee = callee.Origin()
 	if recv := callee.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
-		return "" // hotiface's domain
+		return "" // hotiface's
 	}
 	ds, known := pass.Facts.decls[callee]
 	if !known || ds.decl.Body == nil || pass.Facts.IsCold(callee) {

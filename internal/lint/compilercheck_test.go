@@ -21,6 +21,14 @@ internal/gf256/gf256.go:31:6: can inline Gen[go.shape.int] with cost 2 as: func(
 /abs/other.go:7:6: cannot inline lockedBump: unhandled op DEFER
 internal/gf256/gf256.go:150:19: inlining call to MulByte
 internal/gf256/gf256.go:68:14:   flow: out = *rem:
+internal/gf256/gf256.go:60:13: make([]byte, n) escapes to heap:
+internal/gf256/gf256.go:60:13: make([]byte, n) escapes to heap
+internal/gf256/gf256.go:61:2: moved to heap: x
+internal/gf256/gf256.go:62:3: heap-allocated defer
+internal/gf256/gf256.go:63:3: open-coded defer
+internal/gf256/gf256.go:150:19: ~r0 escapes to heap
+internal/gf256/gf256.go:70:20: s does not escape
+/abs/other.go:9:2: leaking param: p
 not a diagnostic line
 `
 	d := parseCompilerOutput("/mod", []byte(out))
@@ -40,6 +48,18 @@ not a diagnostic line
 	}
 	if !reflect.DeepEqual(d.verdicts, want) {
 		t.Errorf("verdicts = %v, want %v", d.verdicts, want)
+	}
+	wantEsc := []gcEscape{
+		{line: 60, col: 13, kind: escHeap, what: "make([]byte, n)"},
+		{line: 61, col: 2, kind: escMoved, what: "x"},
+		{line: 62, col: 3, kind: escDefer, what: "defer"},
+		{line: 150, col: 19, kind: escHeap, what: "~r0", inlined: true},
+	}
+	if !reflect.DeepEqual(d.escapes[file], wantEsc) {
+		t.Errorf("escapes = %v, want %v (deduplicated, inlined sites marked)", d.escapes[file], wantEsc)
+	}
+	if wantFiles := map[string]bool{file: true, "/abs/other.go": true}; !reflect.DeepEqual(d.escFiles, wantFiles) {
+		t.Errorf("files with escape-analysis lines = %v, want %v", d.escFiles, wantFiles)
 	}
 }
 
@@ -61,6 +81,28 @@ func TestCompilerCheckNeedsVerdicts(t *testing.T) {
 		err := a.Run(pass)
 		if err == nil || !strings.Contains(err.Error(), "cannot inline SliceAdvance") {
 			t.Errorf("%s: err = %v, want a missing-verdict error for SliceAdvance", a.Name, err)
+		}
+	}
+}
+
+// TestCompilerCheckNeedsEscapeLines: if the escape-analysis wording
+// drifted so that a hot package gets no escape line at all, the
+// allocation checks must fail rather than report a clean kernel.
+func TestCompilerCheckNeedsEscapeLines(t *testing.T) {
+	l := newFixtureLoader(t)
+	pkg := loadFixture(t, l, "hotalloc")
+	facts := NewFacts([]*Package{pkg})
+	canned := parseCompilerOutput(l.moduleDir, []byte(
+		"internal/lint/testdata/src/hotalloc/hotalloc.go:15:6: can inline Kernel with cost 4\n"+
+			"internal/lint/testdata/src/hotalloc/hotalloc.go:16:13: make([]byte, len(src)) escapes to the heap\n"))
+	facts.compile = func() (*gcDiags, error) { return canned, nil }
+	for _, a := range []*Analyzer{HotAlloc, HotIface, HotDefer} {
+		var diags []Diagnostic
+		pass := &Pass{Analyzer: a, Fset: pkg.Fset, Files: pkg.Files, Pkg: pkg.Types, Info: pkg.Info,
+			Facts: facts, pkg: pkg, diag: &diags}
+		err := a.Run(pass)
+		if err == nil || !strings.Contains(err.Error(), "no escape-analysis line") {
+			t.Errorf("%s: err = %v, want a missing-escape-analysis error", a.Name, err)
 		}
 	}
 }

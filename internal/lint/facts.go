@@ -42,12 +42,6 @@ type Facts struct {
 	hot     map[*types.Func]bool
 	cold    map[*types.Func]bool
 	hotVia  map[*types.Func]*types.Func
-	// allocates holds the per-function allocation summaries: whether a
-	// steady-state heap allocation is reachable through the function's
-	// own body or a direct callee (see escape.go), and siteCache the
-	// memoized escape-engine classification behind them.
-	allocates map[*types.Func]bool
-	siteCache map[*types.Func][]AllocSite
 
 	summaries map[*types.Func]*funcSummary
 	domains   map[*types.Func]*domainSummary
@@ -66,7 +60,7 @@ type Facts struct {
 	sccCount    int
 	maxSCCIters int
 
-	// compile runs the one compiler build behind hotbce and hotinline
+	// compile runs the one compiler build behind the hot-path checks
 	// (compilercheck.go) on first use; Run sets it, bound by its context.
 	compile func() (*gcDiags, error)
 }
@@ -114,7 +108,6 @@ func NewFacts(pkgs []*Package) *Facts {
 		units:     make(unitIndex),
 		hotIdx:    make(posIndex),
 		coldIdx:   make(posIndex),
-		allocates: make(map[*types.Func]bool),
 		summaries: make(map[*types.Func]*funcSummary),
 		domains:   make(map[*types.Func]*domainSummary),
 		mayFail:   make(map[*types.Func]bool),
@@ -174,7 +167,6 @@ func NewFacts(pkgs []*Package) *Facts {
 	g := buildCallGraph(f.decls)
 	f.computeAll(g)
 	f.computeHot(g)
-	f.computeAllocates(g)
 	f.computeLocks(g)
 	return f
 }

@@ -162,3 +162,19 @@ func resolveRef(info *types.Info, e ast.Expr) (varRef, bool) {
 	}
 	return varRef{}, false
 }
+
+// builtinName returns the name of the builtin function a call invokes,
+// or "" when it invokes none.
+func builtinName(info *types.Info, call *ast.CallExpr) string {
+	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
+		if _, ok := info.Uses[id].(*types.Builtin); ok {
+			return id.Name
+		}
+	}
+	return ""
+}
+
+func isStringType(t types.Type) bool {
+	b, ok := t.Underlying().(*types.Basic)
+	return ok && b.Info()&types.IsString != 0
+}

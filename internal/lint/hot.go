@@ -7,10 +7,13 @@ import (
 	"go/types"
 	"sort"
 	"strings"
+
+	"mlec/internal/lint/cfg"
 )
 
 // This file implements the hotness half of the hot-path analysis
-// family (the allocation classification half lives in escape.go).
+// family: which code is hot. What that code costs is the compiler's
+// verdict (compilercheck.go).
 //
 // # Directive grammar
 //
@@ -147,6 +150,9 @@ func (x posIndex) at(pos token.Position) bool {
 // A statement already inside an annotated ancestor is not returned
 // twice — the outermost annotated statement covers its subtree.
 func hotRegionStmts(idx posIndex, fset *token.FileSet, body *ast.BlockStmt) []ast.Stmt {
+	if idx[fset.Position(body.Pos()).Filename] == nil {
+		return nil // no directive in the file
+	}
 	var regions []ast.Stmt
 	var walk func(n ast.Node) bool
 	walk = func(n ast.Node) bool {
@@ -307,4 +313,124 @@ func (p *Pass) HotLabel(fd *ast.FuncDecl) string {
 		return "annotated //mlec:hot"
 	}
 	return p.Facts.hotLabel(fn)
+}
+
+// A hotNode is one node of hot scope: a node of a hot function, or of
+// a //mlec:hot region statement of any other function.
+type hotNode struct {
+	fd     *ast.FuncDecl
+	label  string // why the node is hot, for messages
+	node   ast.Node
+	inLoop bool          // its CFG block lies on a cycle, goto loops included
+	cold   bool          // inside an early-exit branch (earlyExits)
+	fmt    *ast.CallExpr // the innermost enclosing fmt or log call
+}
+
+// eachHotNode visits the hot scope of the pass in source order, a hot
+// function's declaration node first. With direct set only //mlec:hot
+// functions count as hot functions, which is the scope of hotbce and
+// hotinline; otherwise hotness inherited through the call graph counts
+// too. //mlec:cold functions are skipped, and a function literal is
+// visited but not its body: a closure runs on its invoker's schedule.
+func eachHotNode(pass *Pass, direct bool, visit func(hotNode)) {
+	for _, f := range pass.Files {
+		for _, d := range f.Decls {
+			fd, ok := d.(*ast.FuncDecl)
+			if !ok || fd.Body == nil || pass.FuncCold(fd) {
+				continue
+			}
+			top := hotNode{fd: fd}
+			var regions []ast.Stmt
+			if direct && !pass.funcDirectHot(fd) || !direct && !pass.FuncHot(fd) {
+				if regions = pass.HotRegions(fd); len(regions) == 0 {
+					continue
+				}
+				top.label = "inside //mlec:hot region of " + fd.Name.Name
+			} else {
+				top.label = pass.HotLabel(fd)
+			}
+			g := cfg.Build(fd.Body)
+			loops := g.LoopBlocks()
+			inLoop := make(map[ast.Node]bool)
+			for _, b := range g.Blocks {
+				for _, n := range b.Nodes {
+					inLoop[n] = loops[b]
+				}
+			}
+			cold := make(map[ast.Node]bool)
+			stack := []hotNode{top}
+			ast.Inspect(fd, func(n ast.Node) bool {
+				if n == nil {
+					stack = stack[:len(stack)-1]
+					return true
+				}
+				h := stack[len(stack)-1]
+				h.node = n
+				if in, ok := inLoop[n]; ok {
+					h.inLoop = in
+				}
+				for _, e := range earlyExits(n) {
+					cold[e] = true
+				}
+				h.cold = h.cold || cold[n]
+				if call, ok := n.(*ast.CallExpr); ok {
+					if fn := calleeFunc(pass.Info, call); fn != nil && fn.Pkg() != nil && (fn.Pkg().Path() == "fmt" || fn.Pkg().Path() == "log") {
+						h.fmt = call
+					}
+				}
+				if regions == nil || inside(n, regions) {
+					visit(h)
+				}
+				if _, ok := n.(*ast.FuncLit); ok {
+					return false
+				}
+				stack = append(stack, h)
+				return true
+			})
+		}
+	}
+}
+
+// earlyExits returns the branches of n that end in return or panic:
+// an if's body or else block, or a case or comm clause. Each runs at
+// most once per enclosing loop, so the hot-path checks treat it as cold.
+func earlyExits(n ast.Node) []ast.Node {
+	var out []ast.Node
+	switch n := n.(type) {
+	case *ast.IfStmt:
+		if terminates(n.Body.List) {
+			out = append(out, n.Body)
+		}
+		if els, ok := n.Else.(*ast.BlockStmt); ok && terminates(els.List) {
+			out = append(out, els)
+		}
+	case *ast.CaseClause:
+		if terminates(n.Body) {
+			out = append(out, n)
+		}
+	case *ast.CommClause:
+		if terminates(n.Body) {
+			out = append(out, n)
+		}
+	}
+	return out
+}
+
+// terminates reports whether a statement list ends in a return or a
+// call to panic — the early-exit shape that makes a block cold.
+func terminates(list []ast.Stmt) bool {
+	if len(list) == 0 {
+		return false
+	}
+	switch last := list[len(list)-1].(type) {
+	case *ast.ReturnStmt:
+		return true
+	case *ast.ExprStmt:
+		if call, ok := last.X.(*ast.CallExpr); ok {
+			if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && id.Name == "panic" {
+				return true
+			}
+		}
+	}
+	return false
 }

@@ -8,23 +8,11 @@ package lint
 // remedy is an explicit call at the end of the iteration, or an inner
 // function owning the defer.
 //
-// Loop membership comes from the CFG, so loops written with a
-// backward goto are classified too; a defer outside any loop is fine
-// and unreported even in hot scope.
+// The verdict is the compiler's `heap-allocated defer` (-d=defer, see
+// hotalloc.go), so loops written with a backward goto count too; an
+// open-coded or stack-allocated defer is fine even in hot scope.
 var HotDefer = &Analyzer{
 	Name: "hotdefer",
-	Doc:  "forbid defer statements inside loops on hot paths",
-	Run:  runHotDefer,
-}
-
-func runHotDefer(pass *Pass) error {
-	eachHotSite(pass, func(scope hotScope, s AllocSite) {
-		if s.kind != akDefer || !s.InLoop {
-			return
-		}
-		pass.Report(s.Node.Pos(),
-			"%s defers inside a hot loop (%s); each iteration allocates a defer record that only runs at return — call directly or wrap the iteration in a function",
-			scope.fd.Name.Name, scope.label)
-	})
-	return nil
+	Doc:  "forbid heap-allocated defers (defers inside loops) on hot paths (-d=defer)",
+	Run:  runEscapeCheck,
 }

@@ -96,11 +96,11 @@ func (d Diagnostic) String() string {
 
 // Run executes every analyzer over every package and returns the
 // combined findings sorted by file position. ctx bounds the one
-// compiler build behind hotbce and hotinline.
+// compiler build behind the hot-path checks (compilercheck.go).
 func Run(ctx context.Context, pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	var diags []Diagnostic
 	facts := NewFacts(pkgs)
-	facts.compile = sync.OnceValues(func() (*gcDiags, error) { return runCompiler(ctx, pkgs) })
+	facts.compile = sync.OnceValues(func() (*gcDiags, error) { return runCompiler(ctx, pkgs, facts) })
 	for _, pkg := range pkgs {
 		for _, a := range analyzers {
 			pass := &Pass{

@@ -1,7 +1,6 @@
-// Package hotalloc exercises the hotalloc analyzer: steady-state heap
-// allocations inside //mlec:hot functions and regions are findings;
-// cold-path, stack-plausible and //mlec:cold-shielded allocations are
-// not.
+// Package hotalloc exercises the hotalloc analyzer: the compiler's
+// escape verdicts inside //mlec:hot functions and regions are findings;
+// cold-path, non-escaping and //mlec:cold-shielded allocations are not.
 package hotalloc
 
 import "fmt"
@@ -20,8 +19,8 @@ func Kernel(src []byte) []byte {
 	return buf
 }
 
-// StackLocal allocates a scratch slice that never escapes: plausibly
-// stack-allocated, so not a finding.
+// StackLocal allocates a scratch slice that does not escape: the
+// compiler keeps it on the stack, so not a finding.
 //
 //mlec:hot
 func StackLocal() int {
@@ -61,7 +60,8 @@ func helper(xs []int) map[int]bool {
 }
 
 // WithColdCallee calls a function behind an //mlec:cold barrier:
-// hotness must not flow into it.
+// hotness must not flow into it, not even when the compiler inlines it
+// and reports the callee's escape at this call.
 //
 //mlec:hot
 func WithColdCallee(xs []int) int {
@@ -96,11 +96,12 @@ func SetupThenLoop(xs []int) int {
 }
 
 // Closure captures locals and escapes by return: a real closure
-// allocation. StaticFunc's literal captures nothing and is free.
+// allocation, and i, captured by reference, moves to the heap.
+// StaticFunc's literal captures nothing and is free.
 //
 //mlec:hot
 func Closure(xs []int) func() int {
-	i := 0
+	i := 0               // want `heap-allocates variable i`
 	next := func() int { // want `heap-allocates closure capturing locals`
 		i++
 		return xs[i-1]
@@ -133,19 +134,15 @@ func Stringify(b []byte) string {
 	return string(b) // want `heap-allocates string conversion`
 }
 
-func sum(xs ...int) int {
-	t := 0
-	for _, x := range xs {
-		t += x
-	}
-	return t
-}
+var kept []int
 
-// Variadic boxes its arguments into an implicit slice.
+func keep(xs ...int) { kept = xs }
+
+// Variadic builds an implicit slice for a callee that keeps it.
 //
 //mlec:hot
-func Variadic(a, b int) int {
-	return sum(a, b) // want `heap-allocates variadic argument slice`
+func Variadic(a, b int) {
+	keep(a, b) // want `heap-allocates variadic argument slice`
 }
 
 // Allowed carries a reviewed suppression: the directive swallows the

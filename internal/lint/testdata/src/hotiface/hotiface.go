@@ -21,9 +21,12 @@ func BoxPtr(p *int) any {
 
 type pair struct{ a, b int }
 
-func consume(v any) { _ = v }
+var sink any
 
-// PassArg boxes a struct into an interface-typed parameter.
+func consume(v any) { sink = v }
+
+// PassArg boxes a struct into an interface-typed parameter that the
+// callee keeps.
 //
 //mlec:hot
 func PassArg(s pair) {
@@ -69,6 +72,20 @@ func Apply(f func(int) int, xs []int) int {
 	total := 0
 	for _, x := range xs {
 		total += f(x) // want `indirect call through function value in a hot loop`
+	}
+	return total
+}
+
+// GotoDrain hides its loop behind a backward goto; the CFG-based loop
+// classification must still see the cycle.
+//
+//mlec:hot
+func GotoDrain(s stepper, n int) int {
+	total, i := 0, 0
+again:
+	total += s.Step() // want `interface method call Step in a hot loop`
+	if i++; i < n {
+		goto again
 	}
 	return total
 }

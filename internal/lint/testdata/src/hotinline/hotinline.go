@@ -91,7 +91,7 @@ func Driver(xs []int, counters []int, visit func(int) int) int {
 		plainBump(&total)
 		total += guardedSum(xs) // want `guardedSum in a hot loop, but its recover defeats the inliner`
 		total += leafSum(xs)
-		total += visit(i) // want `calls visit through a function value in a hot loop`
+		total += visit(i) // a call through a function value: hotiface's
 		if total > 1<<30 {
 			lockedBump(&total) // early-exit branch: at most once per loop
 			return total

@@ -58,6 +58,27 @@ func Abandoned(xs []int) []int {
 	return other
 }
 
+// TwoArgMake sets a length but no capacity: no plan.
+//
+//mlec:hot
+func TwoArgMake(xs []int) []int {
+	out := make([]int, 0)
+	for _, x := range xs {
+		out = append(out, x) // want `appends in a hot loop without a capacity plan`
+	}
+	return out
+}
+
+// LatePlan makes its plan after the append: the plan does not cover it.
+//
+//mlec:hot
+func LatePlan(x int) []int {
+	var s []int
+	s = append(s, x) // want `appends on the hot path without a capacity plan`
+	s = make([]int, 0, 8)
+	return s
+}
+
 // SingleAppend grows outside any loop: still a steady-state cost on a
 // hot path, reported with the non-loop wording.
 //
